@@ -87,9 +87,7 @@ func NewBatch(g *Graph, instances []BatchInstance, opts ...Option) (*Batch, erro
 		Equivocators: spec.Equivocators,
 		Rounds:       spec.Rounds,
 		FullBudget:   spec.FullBudget,
-		Sequential:   spec.Sequential,
 		Observer:     spec.Observer,
-		Workers:      spec.Workers,
 	}
 	for _, inst := range instances {
 		bs.Instances = append(bs.Instances, eval.BatchInstance{

@@ -79,7 +79,6 @@ func parseFlags(args []string) (server.Config, error) {
 	fs := flag.NewFlagSet("lbcastd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8418", "listen address")
 	workers := fs.Int("workers", 0, "scheduler workers: packed groups executing concurrently, each its own round loop (0 = GOMAXPROCS)")
-	shardWorkers := fs.Int("shard-workers", 1, "additionally shard each group's instances across this many round loops (1 = group parallelism only); never affects decisions")
 	maxBatch := fs.Int("max-batch", 64, "max requests packed into one batched execution")
 	linger := fs.Duration("linger", 2*time.Millisecond, "how long a forming batch waits for more requests before dispatching (negative = dispatch each request alone)")
 	maxPending := fs.Int("max-pending", 1024, "max admitted-but-undecided requests daemon-wide; beyond it requests get 429")
@@ -95,7 +94,6 @@ func parseFlags(args []string) (server.Config, error) {
 	return server.Config{
 		Addr:         *addr,
 		Workers:      *workers,
-		ShardWorkers: *shardWorkers,
 		MaxBatch:     *maxBatch,
 		Linger:       *linger,
 		MaxPending:   *maxPending,

@@ -38,7 +38,6 @@ import (
 	"strings"
 	"syscall"
 
-	"lbcast/internal/adversary"
 	"lbcast/internal/cliutil"
 	"lbcast/internal/eval"
 	"lbcast/internal/flood"
@@ -103,12 +102,9 @@ type mcJSON struct {
 	// to the taint frontier (or abandoned).
 	ChurnEvents       int64 `json:"churn_events,omitempty"`
 	PlanInvalidations int64 `json:"plan_invalidations,omitempty"`
-	// TrialPoolHits / AdversaryReuses are the trial-scaffolding deltas
-	// over the sweep: scratch-pool hits (recycled RNG + input slab +
-	// fault-list bundles) and adversary instances re-armed through the
-	// strategy pools instead of constructed.
-	TrialPoolHits   int64 `json:"trial_pool_hits,omitempty"`
-	AdversaryReuses int64 `json:"adversary_reuses,omitempty"`
+	// Pool-reuse counters (trial_pool_hits, adversary_reuses) depend on
+	// goroutine scheduling, so they are left to lbcbench: every field here
+	// is identical for any worker count.
 	// Canceled marks a sweep interrupted by SIGINT/SIGTERM: OK and
 	// Violations cover only the trials that completed before the signal.
 	Canceled   bool              `json:"canceled,omitempty"`
@@ -161,8 +157,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		strategyList = strings.Split(*strategies, ",")
 	}
 	planBefore := flood.ReadPlanStats()
-	trialHitsBefore, _ := eval.ReadTrialPoolStats()
-	reusesBefore := adversary.ReadRecycleStats()
 	churnEvtBefore, invalBefore := eval.ReadChurnStats()
 	res, err := eval.MonteCarloContext(ctx, eval.MonteCarloConfig{
 		G:          g,
@@ -190,8 +184,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	planAfter := flood.ReadPlanStats()
-	trialHitsAfter, _ := eval.ReadTrialPoolStats()
-	reusesAfter := adversary.ReadRecycleStats()
 	churnEvtAfter, invalAfter := eval.ReadChurnStats()
 	if *jsonOut {
 		out := mcJSON{
@@ -218,8 +210,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			PlanDynamicSessions: planAfter.DynamicSessions - planBefore.DynamicSessions,
 			ChurnEvents:         int64(churnEvtAfter - churnEvtBefore),
 			PlanInvalidations:   int64(invalAfter - invalBefore),
-			TrialPoolHits:       int64(trialHitsAfter - trialHitsBefore),
-			AdversaryReuses:     int64(reusesAfter - reusesBefore),
 			Canceled:            canceled,
 		}
 		served := out.PlanReplaySessions + out.PlanDeltaReplays

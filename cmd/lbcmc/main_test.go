@@ -153,9 +153,7 @@ func TestRunMCJSONChurnSchema(t *testing.T) {
 
 // TestRunMCChurnDeterministicAcrossWorkers: the injected sweep's verdict
 // stream — and every churn field derived from it — must be identical for
-// every worker count. The pool-warmth counters (trial_pool_hits,
-// adversary_reuses) are process-global and run-order dependent by design,
-// so they are excluded from the comparison.
+// every worker count.
 func TestRunMCChurnDeterministicAcrossWorkers(t *testing.T) {
 	outputs := make([]map[string]interface{}, 0, 2)
 	for _, workers := range []string{"1", "4"} {
@@ -169,8 +167,6 @@ func TestRunMCChurnDeterministicAcrossWorkers(t *testing.T) {
 		if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 			t.Fatalf("json: %v\n%s", err, buf.String())
 		}
-		delete(decoded, "trial_pool_hits")
-		delete(decoded, "adversary_reuses")
 		outputs = append(outputs, decoded)
 	}
 	if !reflect.DeepEqual(outputs[0], outputs[1]) {

@@ -151,13 +151,15 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 }
 
 // runGolden executes one scenario once and captures the full observable run.
+// sequential sets the engine's internal all-sequential bit (no public option
+// reaches it); otherwise the engine's per-round stepping rule decides.
 func runGolden(t *testing.T, sc goldenScenario, sequential bool) goldenRun {
 	t.Helper()
 	g := sc.graph()
 	rec := &TraceRecorder{}
 	opts := append(sc.opts(g), WithObserver(rec))
 	if sequential {
-		opts = append(opts, WithSequential())
+		opts = append(opts, func(s *eval.Spec) { s.Sequential = true })
 	}
 	s, err := NewSession(g, opts...)
 	if err != nil {
@@ -276,7 +278,9 @@ func TestGoldenParity(t *testing.T) {
 			path := filepath.Join("testdata", "golden", sc.name+".json")
 			parallel := goldenJSON(t, runGolden(t, sc, false))
 			sequential := goldenJSON(t, runGolden(t, sc, true))
-			// Engine parallelism must never affect the execution.
+			// Engine parallelism must never affect the execution: the
+			// stepping rule's side (parallel wherever rounds route enough
+			// deliveries) must match all-sequential stepping.
 			if !bytes.Equal(parallel, sequential) {
 				t.Fatalf("parallel and sequential executions diverge:\nparallel:   %s\nsequential: %s", parallel, sequential)
 			}

@@ -60,22 +60,14 @@ type BatchSpec struct {
 	// FullBudget disables per-instance early termination: every instance
 	// runs the complete round budget.
 	FullBudget bool
-	// Sequential disables the engine's parallel round execution.
+	// Sequential makes every round step its nodes one after another (see
+	// Spec.Sequential); set only by callers that already run batches in
+	// parallel.
 	Sequential bool
 	// DisableReplay forces the dynamic flooding path for the benign lane
 	// group even though it qualifies for compiled-plan replay (see
 	// Spec.DisableReplay).
 	DisableReplay bool
-	// Workers shards the batch across parallel round loops: W > 1
-	// partitions the instances into min(W, B) contiguous shards, each
-	// executed as its own round loop on its own goroutine, all drawing
-	// topology state and the compiled propagation plan from the one shared
-	// graph.Analysis. 0 and 1 run the historical single shared loop.
-	// Instances are independent, so sharding changes wall-clock time on
-	// multi-core hardware, never decisions (enforced by
-	// TestShardedBatchMatchesSingleLoop). Sharded runs reject an Observer:
-	// its events would interleave arbitrarily across shards.
-	Workers int
 	// OmitOKDecisions, when set, skips materializing the per-instance
 	// Decisions map for every instance whose outcome satisfies all three
 	// consensus properties: its Outcome carries the property booleans and
@@ -185,12 +177,6 @@ func newBatchSessionShared(spec BatchSpec, topo *graph.Analysis) (*BatchSession,
 	if len(spec.Instances) == 0 {
 		return nil, fmt.Errorf("eval: batch has no instances")
 	}
-	if spec.Workers < 0 {
-		return nil, fmt.Errorf("eval: negative batch worker count %d", spec.Workers)
-	}
-	if spec.Workers > 1 && spec.Observer != nil {
-		return nil, fmt.Errorf("eval: sharded batches (Workers=%d) do not support an Observer; events would interleave across shards", spec.Workers)
-	}
 	base := spec.base()
 	if err := base.normalize(); err != nil {
 		return nil, err
@@ -236,22 +222,102 @@ func byzPattern(instances []BatchInstance) string {
 // Spec returns the session's batch spec.
 func (s *BatchSession) Spec() BatchSpec { return s.spec }
 
-// Run executes every instance of the batch and judges each instance's
-// outcome. With Workers <= 1 all instances share one round loop; Workers
-// > 1 shards them across parallel loops (see BatchSpec.Workers) with
-// identical per-instance results.
+// Run executes every instance of the batch in one shared round loop and
+// judges each instance's outcome.
 //
-// Unless the spec demands the full budget, each instance retires from its
+// Unless the spec demands the full budget, each instance retires from the
 // loop as soon as all of its honest nodes have decided — its nodes stop
 // being stepped and stop transmitting, exactly like an independent
-// Session run that terminates early — and a loop ends when every one of
-// its instances has retired or the round budget is exhausted. The context
-// is checked between rounds; cancellation aborts mid-execution.
+// Session run that terminates early — and the loop ends when every
+// instance has retired or the round budget is exhausted. Poolable shapes
+// (see poolable) draw their complete run state from the analysis's run
+// pool and return it after the run. The context is checked between
+// rounds; cancellation aborts mid-execution and abandons the state
+// instead of recycling it.
 func (s *BatchSession) Run(ctx context.Context) (BatchOutcome, error) {
-	if w := min(s.spec.Workers, len(s.spec.Instances)); w > 1 {
-		return s.runSharded(ctx, w)
+	b := len(s.spec.Instances)
+	var st *batchLoopState
+	var pl *sync.Pool
+	if s.poolable() {
+		pl = poolsFor(s.topo).pool(batchShape(s.base, s.pattern))
+		if v := pl.Get(); v != nil {
+			poolHits.Add(1)
+			st = v.(*batchLoopState)
+			if err := st.reset(s); err != nil {
+				return BatchOutcome{}, err
+			}
+		} else {
+			poolMisses.Add(1)
+		}
 	}
-	return s.runLoop(ctx)
+	if st == nil {
+		var err error
+		st, err = newBatchLoopState(s)
+		if err != nil {
+			return BatchOutcome{}, err
+		}
+	}
+	if pl == nil {
+		// Unpooled engines release their worker pool when the run ends;
+		// pooled engines stay warm (a GC-time cleanup closes them if the
+		// sync.Pool drops the state).
+		defer st.eng.Close()
+	}
+
+	budget := s.base.Rounds
+	if budget == 0 {
+		budget = s.base.DefaultRounds()
+	}
+	// laneLeft[g] counts the group's unretired lanes; a group is retired
+	// from the engine only when its last lane retires.
+	eng := st.eng
+	active := b
+	for r := 0; r < budget && active > 0; r++ {
+		if err := ctx.Err(); err != nil {
+			return BatchOutcome{}, fmt.Errorf("eval: batch canceled after %d of %d rounds: %w",
+				eng.Metrics().Rounds, budget, err)
+		}
+		eng.Step()
+		if s.base.FullBudget {
+			continue
+		}
+		for i := 0; i < b; i++ {
+			if st.retired[i] || !allDecided(st.batchNodes, st.honest[i], st.groupOf[i], st.laneOf[i]) {
+				continue
+			}
+			st.retired[i] = true
+			st.rounds[i] = eng.Metrics().Rounds
+			active--
+			st.laneLeft[st.groupOf[i]]--
+			if st.laneLeft[st.groupOf[i]] == 0 {
+				for _, bn := range st.batchNodes {
+					bn.Retire(st.groupOf[i])
+				}
+			}
+		}
+	}
+	out := BatchOutcome{
+		Outcomes: make([]Outcome, b),
+		Rounds:   eng.Metrics().Rounds,
+		Metrics:  eng.Metrics(),
+	}
+	for i := 0; i < b; i++ {
+		if !st.retired[i] {
+			st.rounds[i] = eng.Metrics().Rounds
+		}
+		if s.spec.OmitOKDecisions {
+			out.Outcomes[i] = judgeInstanceLean(st.batchNodes, st.honest[i], st.honestInputs[i], st.groupOf[i], st.laneOf[i], st.rounds[i], budget)
+		} else {
+			out.Outcomes[i] = judgeInstance(st.batchNodes, st.honest[i], st.honestInputs[i], st.groupOf[i], st.laneOf[i], st.rounds[i], budget)
+		}
+	}
+	if s.spec.Observer != nil {
+		s.spec.Observer.Done(eng.Metrics())
+	}
+	if pl != nil {
+		pl.Put(st)
+	}
+	return out, nil
 }
 
 // poolable reports whether the batch's run state recycles through the
@@ -267,60 +333,6 @@ func (s *BatchSession) poolable() bool {
 		return false
 	}
 	return s.base.Algorithm == Algo1 || s.base.Algorithm == Algo3
-}
-
-// runSharded partitions the instances into w contiguous near-equal shards
-// and runs each shard as its own single-loop batch on its own goroutine.
-// Every shard draws memoized topology state — including the compiled
-// propagation plan — from the session's one shared analysis, so the
-// per-graph work is still paid once; shards step their nodes sequentially
-// (shard-level parallelism replaces node-level parallelism, exactly like
-// parallel sweep cells). Shard outcomes are stitched back in instance
-// order; the merged Rounds is the max over shards and the merged engine
-// totals are the sums.
-func (s *BatchSession) runSharded(ctx context.Context, w int) (BatchOutcome, error) {
-	b := len(s.spec.Instances)
-	outs := make([]BatchOutcome, w)
-	errs := make([]error, w)
-	bounds := make([]int, w+1)
-	for k := 0; k < w; k++ {
-		// Balanced contiguous partition: the first b%w shards take one
-		// extra instance.
-		bounds[k+1] = bounds[k] + b/w
-		if k < b%w {
-			bounds[k+1]++
-		}
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		shard := s.spec
-		shard.Workers = 0
-		shard.Sequential = true
-		shard.Instances = s.spec.Instances[bounds[k]:bounds[k+1]]
-		wg.Add(1)
-		go func(k int, shard BatchSpec) {
-			defer wg.Done()
-			ss, err := newBatchSessionShared(shard, s.topo)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			outs[k], errs[k] = ss.Run(ctx)
-		}(k, shard)
-	}
-	wg.Wait()
-	merged := BatchOutcome{Outcomes: make([]Outcome, 0, b)}
-	for k := 0; k < w; k++ {
-		if errs[k] != nil {
-			return BatchOutcome{}, errs[k]
-		}
-		merged.Outcomes = append(merged.Outcomes, outs[k].Outcomes...)
-		merged.Rounds = max(merged.Rounds, outs[k].Rounds)
-		merged.Metrics.Rounds = max(merged.Metrics.Rounds, outs[k].Metrics.Rounds)
-		merged.Metrics.Transmissions += outs[k].Metrics.Transmissions
-		merged.Metrics.Deliveries += outs[k].Metrics.Deliveries
-	}
-	return merged, nil
 }
 
 // scalarSlot locates one honest scalar-group protocol node for run
@@ -341,8 +353,7 @@ type byzSlot struct {
 	grp  int
 }
 
-// batchLoopState is the complete working state of one single-loop batch
-// execution: lane grouping, replay blackboards, per-vertex batch nodes,
+// batchLoopState is the complete working state of one batch execution: lane grouping, replay blackboards, per-vertex batch nodes,
 // the engine, and the retirement bookkeeping. Poolable shapes recycle it
 // through the analysis's run pool (see pool.go); the reset pass restores
 // exactly the state a fresh construction would produce, while every
@@ -379,7 +390,7 @@ type batchLoopState struct {
 func (st *batchLoopState) reset(s *BatchSession) error {
 	obs := s.spec.Observer
 	phantom := obs == nil
-	st.eng.Reset(obs)
+	st.eng.Reset(obs, s.base.Sequential)
 	if st.vecRS != nil {
 		st.vecRS.SetPhantom(phantom)
 	}
@@ -434,8 +445,7 @@ func (st *batchLoopState) reset(s *BatchSession) error {
 	return nil
 }
 
-// newBatchLoopState builds the run state of a single-loop batch from
-// scratch.
+// newBatchLoopState builds the run state of a batch from scratch.
 func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 	b := len(s.spec.Instances)
 	g := s.base.G
@@ -620,7 +630,7 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 		Model:        s.base.Model,
 		Equivocators: s.base.Equivocators,
 		Observer:     s.spec.Observer,
-		Parallel:     !s.base.Sequential,
+		Sequential:   s.base.Sequential,
 	}, nodes)
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
@@ -630,96 +640,6 @@ func newBatchLoopState(s *BatchSession) (*batchLoopState, error) {
 		st.laneLeft[groupOf[i]]++
 	}
 	return st, nil
-}
-
-// runLoop executes every instance in one shared round loop — the
-// single-shard engine body. Poolable shapes (see poolable) draw their
-// complete run state from the analysis's run pool and return it after the
-// run; cancellation abandons the state mid-run instead of recycling it.
-func (s *BatchSession) runLoop(ctx context.Context) (BatchOutcome, error) {
-	b := len(s.spec.Instances)
-	var st *batchLoopState
-	var pl *sync.Pool
-	if s.poolable() {
-		pl = poolsFor(s.topo).pool(batchShape(s.base, s.pattern))
-		if v := pl.Get(); v != nil {
-			poolHits.Add(1)
-			st = v.(*batchLoopState)
-			if err := st.reset(s); err != nil {
-				return BatchOutcome{}, err
-			}
-		} else {
-			poolMisses.Add(1)
-		}
-	}
-	if st == nil {
-		var err error
-		st, err = newBatchLoopState(s)
-		if err != nil {
-			return BatchOutcome{}, err
-		}
-	}
-	if pl == nil {
-		// Unpooled engines release their worker pool when the run ends;
-		// pooled engines stay warm (a GC-time cleanup closes them if the
-		// sync.Pool drops the state).
-		defer st.eng.Close()
-	}
-
-	budget := s.base.Rounds
-	if budget == 0 {
-		budget = s.base.DefaultRounds()
-	}
-	// laneLeft[g] counts the group's unretired lanes; a group is retired
-	// from the engine only when its last lane retires.
-	eng := st.eng
-	active := b
-	for r := 0; r < budget && active > 0; r++ {
-		if err := ctx.Err(); err != nil {
-			return BatchOutcome{}, fmt.Errorf("eval: batch canceled after %d of %d rounds: %w",
-				eng.Metrics().Rounds, budget, err)
-		}
-		eng.Step()
-		if s.base.FullBudget {
-			continue
-		}
-		for i := 0; i < b; i++ {
-			if st.retired[i] || !allDecided(st.batchNodes, st.honest[i], st.groupOf[i], st.laneOf[i]) {
-				continue
-			}
-			st.retired[i] = true
-			st.rounds[i] = eng.Metrics().Rounds
-			active--
-			st.laneLeft[st.groupOf[i]]--
-			if st.laneLeft[st.groupOf[i]] == 0 {
-				for _, bn := range st.batchNodes {
-					bn.Retire(st.groupOf[i])
-				}
-			}
-		}
-	}
-	out := BatchOutcome{
-		Outcomes: make([]Outcome, b),
-		Rounds:   eng.Metrics().Rounds,
-		Metrics:  eng.Metrics(),
-	}
-	for i := 0; i < b; i++ {
-		if !st.retired[i] {
-			st.rounds[i] = eng.Metrics().Rounds
-		}
-		if s.spec.OmitOKDecisions {
-			out.Outcomes[i] = judgeInstanceLean(st.batchNodes, st.honest[i], st.honestInputs[i], st.groupOf[i], st.laneOf[i], st.rounds[i], budget)
-		} else {
-			out.Outcomes[i] = judgeInstance(st.batchNodes, st.honest[i], st.honestInputs[i], st.groupOf[i], st.laneOf[i], st.rounds[i], budget)
-		}
-	}
-	if s.spec.Observer != nil {
-		s.spec.Observer.Done(eng.Metrics())
-	}
-	if pl != nil {
-		pl.Put(st)
-	}
-	return out, nil
 }
 
 // laneDecision reads instance decision state at one vertex: the lane

@@ -275,67 +275,3 @@ func TestMonteCarloBatchedMatchesUnbatched(t *testing.T) {
 		t.Errorf("fault-prob batch diverges: %+v vs %+v", batchedP, plainP)
 	}
 }
-
-// TestShardedBatchMatchesSingleLoop is the sharding-equivalence contract:
-// a batch run with Workers > 1 — instances partitioned across parallel
-// round loops over the one shared analysis — reproduces the single-loop
-// run's per-instance outcomes exactly, for every worker count, including
-// worker counts that exceed the instance count and shards that mix benign
-// (plan-replaying) with faulty (dynamic-fallback) instances.
-func TestShardedBatchMatchesSingleLoop(t *testing.T) {
-	fixtures := []struct {
-		name string
-		fx   batchFixture
-	}{
-		{"algo1-figure1a-mixed", batchFixture{g: gen.Figure1a(), f: 1, alg: Algo1, b: 9, seed: 71}},
-		{"algo1-figure1b-mixed", batchFixture{g: gen.Figure1b(), f: 2, alg: Algo1, b: 8, seed: 73}},
-		{"algo1-figure1b-all-benign", batchFixture{g: gen.Figure1b(), f: 0, alg: Algo1, b: 8, seed: 79}},
-		{"algo2-figure1b-mixed", batchFixture{g: gen.Figure1b(), f: 2, alg: Algo2, b: 6, seed: 83}},
-	}
-	for _, tc := range fixtures {
-		t.Run(tc.name, func(t *testing.T) {
-			single, err := RunBatch(context.Background(), BatchSpec{
-				G: tc.fx.g, F: tc.fx.f, Algorithm: tc.fx.alg, Instances: tc.fx.instances(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 16} {
-				sharded, err := RunBatch(context.Background(), BatchSpec{
-					G: tc.fx.g, F: tc.fx.f, Algorithm: tc.fx.alg, Workers: workers,
-					Instances: tc.fx.instances(),
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if len(sharded.Outcomes) != len(single.Outcomes) {
-					t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(sharded.Outcomes), len(single.Outcomes))
-				}
-				for i := range single.Outcomes {
-					got, want := project(sharded.Outcomes[i]), project(single.Outcomes[i])
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("workers=%d instance %d diverges:\nsharded:     %+v\nsingle-loop: %+v", workers, i, got, want)
-					}
-				}
-				if sharded.Rounds != single.Rounds {
-					t.Errorf("workers=%d: merged rounds %d, want max-over-shards to equal single-loop %d",
-						workers, sharded.Rounds, single.Rounds)
-				}
-			}
-		})
-	}
-}
-
-// TestShardedBatchValidation pins the sharding spec rules: negative worker
-// counts and Observer-plus-sharding are rejected.
-func TestShardedBatchValidation(t *testing.T) {
-	fx := batchFixture{g: gen.Figure1a(), f: 1, alg: Algo1, b: 2, seed: 7}
-	if _, err := NewBatchSession(BatchSpec{G: fx.g, F: fx.f, Workers: -1, Instances: fx.instances()}); err == nil {
-		t.Error("negative Workers accepted")
-	}
-	if _, err := NewBatchSession(BatchSpec{
-		G: fx.g, F: fx.f, Workers: 2, Observer: sim.NoopObserver{}, Instances: fx.instances(),
-	}); err == nil {
-		t.Error("Observer with Workers > 1 accepted")
-	}
-}

@@ -494,7 +494,8 @@ func runMonteCarloTrial(ctx context.Context, cfg MonteCarloConfig, topo *graph.A
 		Churn:     mcChurnSchedule(cfg, trial),
 		// When trials run in parallel, stepping each trial's nodes
 		// sequentially avoids oversubscription; a single-worker sweep
-		// keeps node-level parallelism. Never affects results.
+		// leaves the choice to the engine's stepping rule. Never affects
+		// results.
 		Sequential: effectiveWorkers(cfg.Workers, cfg.Trials) > 1,
 	}
 	var faulty []graph.NodeID

@@ -53,7 +53,6 @@ type runShape struct {
 	equiv      string
 	rounds     int
 	fullBudget bool
-	sequential bool
 	// pattern is the canonical kind-marked Byzantine placement — per
 	// instance for a batch (see byzPattern), for the single execution of a
 	// session (see byzKindPattern); empty for all-benign sessions.
@@ -125,7 +124,6 @@ func sessionShape(spec Spec) runShape {
 		equiv:      spec.Equivocators.String(),
 		rounds:     spec.Rounds,
 		fullBudget: spec.FullBudget,
-		sequential: spec.Sequential,
 		pattern:    byzKindPattern(spec.Byzantine),
 		churn:      !spec.Churn.Empty(),
 	}
@@ -168,9 +166,9 @@ func byzKindPattern(byz map[graph.NodeID]sim.Node) string {
 	return sb.String()
 }
 
-// sessionRun is the pooled state of one replay-qualified session
-// execution: the nodes, engine, and replay wiring of a complete run,
-// reusable after reset. Byzantine slots hold the caller's adversary nodes
+// sessionRun is the state of one session execution: the nodes, engine,
+// and replay wiring of a complete run. Replay-qualified runs are pooled and
+// reusable after reset; Byzantine slots hold the caller's adversary nodes
 // and are re-plugged from the current spec on every reset (the pool key
 // pins their vertices and kinds, never their values). The engine is never
 // Closed while pooled — its worker pool stays warm; if the sync.Pool drops
@@ -178,21 +176,21 @@ func byzKindPattern(byz map[graph.NodeID]sim.Node) string {
 type sessionRun struct {
 	mode  replayMode
 	nodes []sim.Node
-	// pnodes[u] is the honest phase node at vertex u, nil at Byzantine
-	// slots.
+	// pnodes[u] is the honest replay-wired phase node at vertex u, nil at
+	// Byzantine slots and in replayOff runs.
 	pnodes []*core.PhaseNode
 	// byz lists the Byzantine vertices, re-plugged per run.
 	byz []graph.NodeID
 	eng *sim.Engine
 	// rs is the shared replay blackboard of full and masked runs; nil for
-	// delta runs, whose honest nodes flood dynamically.
+	// delta and replayOff runs, whose honest nodes flood dynamically.
 	rs           *core.ReplayShared
 	honest       graph.Set
 	honestInputs map[graph.NodeID]sim.Value
-	// masked and churn carry the fault-injection wiring of churn runs
-	// (mode == replayChurn): the engine routes through masked, and churn
-	// drives the schedule at round boundaries. Both re-arm per reset —
-	// pooled runs of the same shape may carry different schedules.
+	// masked and churn carry the fault-injection wiring of runs with a
+	// schedule: the engine routes through masked, and churn drives the
+	// schedule at round boundaries. Both re-arm per reset — pooled runs of
+	// the same shape may carry different schedules.
 	masked *sim.MaskedTopology
 	churn  *churnRun
 }
@@ -213,10 +211,10 @@ func sessionPhantomOK(mode replayMode, spec Spec) bool {
 	return mode == replayFull
 }
 
-// newSessionRun builds the run state the way Session.Run always has,
-// wiring the mode's replay strategy into the honest nodes: the benign or
-// masked plan's blackboard for wholesale replay, the delta fragment for
-// partial replay.
+// newSessionRun builds the run state of one execution, wiring the mode's
+// replay strategy into the honest nodes: the benign or masked plan's
+// blackboard for wholesale replay, the delta fragment for partial replay,
+// nothing for replayOff (fully dynamic, unpooled).
 func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRun, error) {
 	g := spec.G
 	run := &sessionRun{
@@ -232,6 +230,8 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 		run.rs = core.NewReplayShared(flood.MaskedPlanFor(topo, byzSet(spec.Byzantine)))
 	case replayDelta:
 		dp = flood.DeltaPlanFor(topo, byzSet(spec.Byzantine))
+	case replayOff:
+		// Fully dynamic: honest nodes flood message by message.
 	default:
 		// Benign and churn runs share the benign compiled plan; a churn
 		// run replays it only up to the taint frontier (set below).
@@ -240,10 +240,16 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 	if run.rs != nil {
 		run.rs.SetPhantom(sessionPhantomOK(mode, spec))
 	}
-	frontier := 0
-	if mode == replayChurn {
+	// An injected world routes through the mutable link-mask view; the
+	// mask mutates only between engine steps (Session.drive is the sole
+	// writer, and the engine routes in its own goroutine after node steps
+	// complete).
+	if !spec.Churn.Empty() {
 		run.masked = sim.NewMaskedTopology(g)
 		run.churn = newChurnRun(topo, run.masked, spec.Churn)
+	}
+	frontier := 0
+	if mode == replayChurn {
 		frontier = churnFrontierPhase(g, spec.Churn)
 	}
 	for _, u := range g.Nodes() {
@@ -253,19 +259,22 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 			continue
 		}
 		in := spec.InputSlab[u]
-		// Replay-qualified specs are Algo1/Algo3, so every honest node is
-		// a PhaseNode.
-		pn := spec.NewHonestNode(topo, nil, u, in).(*core.PhaseNode)
-		if run.rs != nil {
-			pn.UseReplay(run.rs)
-		} else {
-			pn.UseDeltaReplay(dp)
+		nd := spec.NewHonestNode(topo, nil, u, in)
+		if mode != replayOff {
+			// Replay-qualified specs are Algo1/Algo3, so every honest node
+			// is a PhaseNode.
+			pn := nd.(*core.PhaseNode)
+			if run.rs != nil {
+				pn.UseReplay(run.rs)
+			} else {
+				pn.UseDeltaReplay(dp)
+			}
+			if mode == replayChurn {
+				pn.SetReplayFrontier(frontier)
+			}
+			run.pnodes[u] = pn
 		}
-		if mode == replayChurn {
-			pn.SetReplayFrontier(frontier)
-		}
-		run.nodes[u] = pn
-		run.pnodes[u] = pn
+		run.nodes[u] = nd
 		run.honest.Add(u)
 		run.honestInputs[u] = in
 	}
@@ -278,7 +287,7 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 		Model:        spec.Model,
 		Equivocators: spec.Equivocators,
 		Observer:     spec.Observer,
-		Parallel:     !spec.Sequential,
+		Sequential:   spec.Sequential,
 	}, run.nodes)
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
@@ -294,7 +303,7 @@ func newSessionRun(topo *graph.Analysis, spec Spec, mode replayMode) (*sessionRu
 // built for — the kind-marked pattern in the key guarantees the Byzantine
 // vertices and replay wiring match.
 func (r *sessionRun) reset(spec Spec) error {
-	r.eng.Reset(spec.Observer)
+	r.eng.Reset(spec.Observer, spec.Sequential)
 	if r.rs != nil {
 		r.rs.SetPhantom(sessionPhantomOK(r.mode, spec))
 	}

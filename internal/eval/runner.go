@@ -88,8 +88,10 @@ type Spec struct {
 	// non-adversarial executions (see core.PhaseNode.EnableEarlyDecision
 	// for the soundness argument).
 	FullBudget bool
-	// Sequential disables the engine's goroutine-per-node round
-	// execution (useful for debugging and deterministic profiling).
+	// Sequential makes every round step its nodes one after another (see
+	// sim.Config.Sequential). Only callers that already run executions in
+	// parallel set it — Monte Carlo, sweeps, the daemon's scheduler; no
+	// public option reaches it.
 	Sequential bool
 	// DisableReplay forces the dynamic message-by-message flooding path
 	// even for executions that qualify for compiled-plan replay (no
@@ -97,10 +99,6 @@ type Spec struct {
 	// to the dynamic path; this knob exists for the parity tests that
 	// enforce exactly that, and for A/B benchmarking.
 	DisableReplay bool
-	// Workers is plumbing for batched executions (see BatchSpec.Workers):
-	// the public option layer sets it here and NewBatch carries it over.
-	// Single-Session runs have exactly one round loop and ignore it.
-	Workers int
 	// Churn, when non-empty, injects the topology-fault schedule into the
 	// run: the round loop applies each boundary's events (node crash/
 	// recover, link down/up, partition open/heal) to a mutable link-mask
@@ -154,9 +152,6 @@ func (s *Spec) normalize() error {
 	}
 	if s.Rounds < 0 {
 		return fmt.Errorf("eval: negative round budget %d", s.Rounds)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("eval: negative worker count %d", s.Workers)
 	}
 	for u := range s.Inputs {
 		if int(u) < 0 || int(u) >= n {
@@ -455,72 +450,12 @@ func (s *Session) Run(ctx context.Context) (Outcome, error) {
 	if mode := s.spec.replayMode(); mode != replayOff {
 		return s.runPooled(ctx, mode)
 	}
-	spec := s.spec
-	g := spec.G
-	nodes := make([]sim.Node, g.N())
-	honest := graph.NewSet()
-	honestInputs := make(map[graph.NodeID]sim.Value)
-	for _, u := range g.Nodes() {
-		if b, ok := spec.Byzantine[u]; ok {
-			nodes[u] = b
-			continue
-		}
-		in := spec.InputSlab[u]
-		nd := spec.NewHonestNode(s.topo, nil, u, in)
-		nodes[u] = nd
-		honest.Add(u)
-		honestInputs[u] = in
-	}
-	// An injected world routes through the mutable link-mask view; the mask
-	// mutates only between engine steps (the round loop below is the sole
-	// writer, and the engine routes in its own goroutine after node steps
-	// complete). Without a schedule the static topology is used unchanged.
-	topo := sim.Topology(sim.GraphTopology{G: g})
-	var churn *churnRun
-	if !spec.Churn.Empty() {
-		masked := sim.NewMaskedTopology(g)
-		churn = newChurnRun(s.topo, masked, spec.Churn)
-		topo = masked
-	}
-	eng, err := sim.NewEngine(sim.Config{
-		Topology:     topo,
-		Model:        spec.Model,
-		Equivocators: spec.Equivocators,
-		Observer:     spec.Observer,
-		Parallel:     !spec.Sequential,
-	}, nodes)
+	run, err := newSessionRun(s.topo, s.spec, replayOff)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("eval: %w", err)
+		return Outcome{}, err
 	}
-	defer eng.Close()
-	budget := spec.Rounds
-	if budget == 0 {
-		budget = spec.DefaultRounds()
-	}
-	if churn != nil {
-		noteChurnInvalidation(spec, budget)
-	}
-	for r := 0; r < budget; r++ {
-		if err := ctx.Err(); err != nil {
-			return Outcome{}, fmt.Errorf("eval: run canceled after %d of %d rounds: %w",
-				eng.Metrics().Rounds, budget, err)
-		}
-		if churn != nil {
-			churn.boundary(r)
-		}
-		eng.Step()
-		if !spec.FullBudget && eng.AllDecided(honest) {
-			break
-		}
-	}
-	out := Judge(eng, honest, honestInputs, budget)
-	if churn != nil {
-		churn.finish(spec, &out)
-	}
-	if spec.Observer != nil {
-		spec.Observer.Done(eng.Metrics())
-	}
-	return out, nil
+	defer run.eng.Close()
+	return s.drive(ctx, run)
 }
 
 // runPooled executes a replay-qualified spec on recycled run state drawn
@@ -532,23 +467,36 @@ func (s *Session) Run(ctx context.Context) (Outcome, error) {
 // mid-execution abandons the state rather than recycling a half-stepped
 // run.
 func (s *Session) runPooled(ctx context.Context, mode replayMode) (Outcome, error) {
-	spec := s.spec
-	pl := poolsFor(s.topo).pool(sessionShape(spec))
+	pl := poolsFor(s.topo).pool(sessionShape(s.spec))
 	var run *sessionRun
 	if v := pl.Get(); v != nil {
 		poolHits.Add(1)
 		run = v.(*sessionRun)
-		if err := run.reset(spec); err != nil {
+		if err := run.reset(s.spec); err != nil {
 			return Outcome{}, err
 		}
 	} else {
 		poolMisses.Add(1)
 		var err error
-		run, err = newSessionRun(s.topo, spec, mode)
+		run, err = newSessionRun(s.topo, s.spec, mode)
 		if err != nil {
 			return Outcome{}, err
 		}
 	}
+	out, err := s.drive(ctx, run)
+	if err != nil {
+		return Outcome{}, err
+	}
+	pl.Put(run)
+	return out, nil
+}
+
+// drive steps a built run round by round and judges it: the context is
+// checked and the fault-injection schedule applied at every round
+// boundary, and unless the spec demands the full budget the loop stops as
+// soon as every honest node has decided.
+func (s *Session) drive(ctx context.Context, run *sessionRun) (Outcome, error) {
+	spec := s.spec
 	budget := spec.Rounds
 	if budget == 0 {
 		budget = spec.DefaultRounds()
@@ -576,7 +524,6 @@ func (s *Session) runPooled(ctx context.Context, mode replayMode) (Outcome, erro
 	if spec.Observer != nil {
 		spec.Observer.Done(run.eng.Metrics())
 	}
-	pl.Put(run)
 	return out, nil
 }
 

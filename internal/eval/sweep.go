@@ -253,7 +253,7 @@ func (c Cell) run(ctx context.Context, topo *graph.Analysis, fullBudget, sequent
 		FullBudget:   fullBudget,
 		// When the sweep pool is parallel, stepping a cell's nodes
 		// sequentially avoids oversubscription; a single-worker sweep
-		// keeps node-level parallelism instead.
+		// leaves the choice to the engine's stepping rule.
 		Sequential: sequential,
 	}
 	s, err := newSessionShared(spec, topo)

@@ -55,7 +55,7 @@ var (
 type Graph struct {
 	n   int
 	adj [][]NodeID // sorted neighbor lists
-	// nodes is the lazily-built shared Nodes() slice (see Nodes).
+	// nodes is the shared Nodes() slice, built once by New (see Nodes).
 	nodes []NodeID
 	// analysis is the graph's canonical shared Analysis, built on first
 	// SharedAnalysis call (see analysis.go).
@@ -67,9 +67,14 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
+	nodes := make([]NodeID, n)
+	for i := range nodes {
+		nodes[i] = NodeID(i)
+	}
 	return &Graph{
-		n:   n,
-		adj: make([][]NodeID, n),
+		n:     n,
+		adj:   make([][]NodeID, n),
+		nodes: nodes,
 	}
 }
 
@@ -106,19 +111,11 @@ func (g *Graph) M() int {
 	return total / 2
 }
 
-// Nodes returns all node ids in ascending order. The slice is built once
-// per graph and shared by every caller — the graph is immutable and this
-// runs in round-loop hot paths — so callers must not modify it.
-func (g *Graph) Nodes() []NodeID {
-	if g.nodes == nil && g.n > 0 {
-		out := make([]NodeID, g.n)
-		for i := range out {
-			out[i] = NodeID(i)
-		}
-		g.nodes = out
-	}
-	return g.nodes
-}
+// Nodes returns all node ids in ascending order. The slice is built once,
+// when the graph is created, and shared by every caller — it runs in
+// round-loop hot paths, concurrently across runs over one graph — so
+// callers must not modify it.
+func (g *Graph) Nodes() []NodeID { return g.nodes }
 
 // valid reports whether u is a node of g.
 func (g *Graph) valid(u NodeID) bool {

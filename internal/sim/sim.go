@@ -7,17 +7,19 @@
 // equivocate, all others are restricted to local broadcast).
 //
 // Nodes are deterministic state machines driven by the engine; each round
-// the nodes' Step calls are distributed over the engine's persistent
-// worker pool (goroutines that park between rounds), then the engine
-// routes the collected transmissions through the configured transport.
-// Delivery order is canonicalized (ascending sender id, FIFO within a
-// sender's round output) so executions are reproducible — parallelism
-// never affects results.
+// the engine steps every node — one after another, or on its persistent
+// worker pool when the previous round routed enough deliveries to pay for
+// the hand-off (see parallelDeliveries) — then routes the collected
+// transmissions through the configured transport. Delivery order is
+// canonicalized (ascending sender id, FIFO within a sender's round output)
+// so executions are reproducible — the stepping choice never affects
+// results.
 package sim
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -215,22 +217,41 @@ type Config struct {
 	// Observer, when set, receives round, transmission and decision
 	// events (see Observer). Use sim.Observers to combine several.
 	Observer Observer
-	// Parallel selects goroutine-per-node round execution (default true
-	// via NewEngine). Sequential execution is provided for debugging.
-	Parallel bool
+	// Sequential makes every round step its nodes one after another.
+	// Callers that already run many engines in parallel (Monte Carlo
+	// trials, sweep cells, the daemon's scheduler workers) set it so node
+	// stepping does not oversubscribe the cores. Otherwise the engine
+	// chooses per round (see parallelDeliveries).
+	Sequential bool
 }
+
+// parallelDeliveries is the stepping rule: a round steps its nodes on the
+// worker pool only when the previous round routed at least this many
+// deliveries (Metrics.Deliveries, including those never built for
+// InboxIgnorers: the messages the round consumes or replays) and
+// GOMAXPROCS > 1. Below it the hand-off to parked workers costs more than
+// the steps it spreads — a replayed figure1a session routes at most 20 a
+// round and ran 1.7x slower on the pool — while Algorithm 2's floods and
+// large batches route thousands. DESIGN.md §11 has the measurements.
+const parallelDeliveries = 128
 
 // Engine drives a set of nodes through synchronous rounds.
 //
-// An engine running with Config.Parallel owns a persistent worker pool
-// (started lazily at the first round); Close releases it. Engines that are
-// dropped without Close are cleaned up by a finalizer, but deterministic
-// callers (eval.Session, benchmarks) should Close explicitly.
+// The engine owns a persistent worker pool, started lazily by the first
+// round that steps in parallel — so an engine whose rounds stay under the
+// stepping rule never starts a goroutine. Close releases it. Engines that
+// are dropped without Close are cleaned up by a finalizer, but
+// deterministic callers (eval.Session, benchmarks) should Close explicitly.
 type Engine struct {
 	cfg     Config
 	nodes   []Node
 	metrics Metrics
 	decided []bool // decision-event edge detection, per node
+	// parallelMin is the armed stepping threshold (math.MaxInt when
+	// stepping is sequential), routed the previous round's deliveries.
+	parallelMin    int
+	routed         int
+	parallelRounds int
 
 	// inboxes / nextInboxes are double-buffered per-node delivery slices,
 	// reused across rounds: each round routes into nextInboxes (truncated,
@@ -300,7 +321,20 @@ func NewEngine(cfg Config, nodes []Node) (*Engine, error) {
 		e.inboxes[i] = getInbox()
 		e.nextInboxes[i] = getInbox()
 	}
+	e.arm()
 	return e, nil
+}
+
+// arm sets the stepping rule for a fresh run: round 0 steps sequentially,
+// and later rounds may step in parallel unless the config asks for
+// sequential stepping or only one P is available.
+func (e *Engine) arm() {
+	e.parallelMin = parallelDeliveries
+	if e.cfg.Sequential || runtime.GOMAXPROCS(0) < 2 {
+		e.parallelMin = math.MaxInt
+	}
+	e.routed = 0
+	e.parallelRounds = 0
 }
 
 // lazyPool starts the persistent worker pool on first use. The pool spans
@@ -332,18 +366,26 @@ func (e *Engine) Close() {
 // Metrics returns a copy of the current counters.
 func (e *Engine) Metrics() Metrics { return e.metrics }
 
+// ParallelRounds reports how many rounds of the current run stepped their
+// nodes on the worker pool. The pool starts at the first such round, so a
+// fresh engine reporting 0 has started no goroutines.
+func (e *Engine) ParallelRounds() int { return e.parallelRounds }
+
 // Reset rewinds the engine for a fresh run over the same nodes and
-// topology: metrics and decision-edge state are zeroed, the observer is
-// replaced, and the double-buffered inbox arrays are cleared (payloads
-// from the previous run's final round must not outlive it) but their
-// backing capacity — and the persistent worker pool with its parked
-// goroutines — is kept. The nodes themselves are NOT reset; callers
-// recycling protocol state across runs (eval's run pool) reset them
-// separately. Must not be called on a closed engine.
-func (e *Engine) Reset(obs Observer) {
+// topology: metrics and decision-edge state are zeroed, the observer and
+// the Sequential setting are replaced and the stepping rule re-armed, and
+// the double-buffered inbox arrays are cleared (payloads from the previous
+// run's final round must not outlive it) but their backing capacity — and
+// the persistent worker pool with its parked goroutines — is kept. The
+// nodes themselves are NOT reset; callers recycling protocol state across
+// runs (eval's run pool) reset them separately. Must not be called on a
+// closed engine.
+func (e *Engine) Reset(obs Observer, sequential bool) {
 	e.metrics = Metrics{}
 	clear(e.decided)
 	e.cfg.Observer = obs
+	e.cfg.Sequential = sequential
+	e.arm()
 	for i := range e.inboxes {
 		e.inboxes[i] = clearDeliveries(e.inboxes[i])
 		e.nextInboxes[i] = clearDeliveries(e.nextInboxes[i])
@@ -431,13 +473,16 @@ func (e *Engine) emitDecisions(round int) {
 }
 
 // step runs a single round: every node consumes its inbox and produces an
-// outbox; the transport routes outboxes into next-round inboxes. The
-// outbox collection and the next-round inbox slices are reused round over
-// round (nodes must not retain inbox slices — see Node).
+// outbox — on the worker pool when the previous round routed at least
+// parallelMin deliveries — and the transport routes outboxes into
+// next-round inboxes. The outbox collection and the next-round inbox
+// slices are reused round over round (nodes must not retain inbox slices —
+// see Node).
 func (e *Engine) step(round int) {
 	n := len(e.nodes)
 	outboxes := e.outboxes
-	if e.cfg.Parallel {
+	if e.routed >= e.parallelMin {
+		e.parallelRounds++
 		e.lazyPool().run(n, func(i int) {
 			outboxes[i] = e.nodes[i].Step(round, e.inboxes[i])
 		})
@@ -459,6 +504,7 @@ func (e *Engine) step(round int) {
 	// share a round (a masked-plan run whose silent faults ignore their
 	// inboxes beside a delta run's dynamic flooders).
 	skipAll, ignore := e.inboxIgnorers()
+	before := e.metrics.Deliveries
 	// Ascending sender order + outbox order gives deterministic FIFO
 	// delivery.
 	for i := 0; i < n; i++ {
@@ -491,6 +537,7 @@ func (e *Engine) step(round int) {
 		}
 		outboxes[i] = nil
 	}
+	e.routed = e.metrics.Deliveries - before
 	e.inboxes, e.nextInboxes = next, e.inboxes
 	e.metrics.Rounds++
 }

@@ -175,10 +175,11 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 		ns[0].sends = []Outgoing{{To: Broadcast, Payload: textPayload("a1")}, {To: Broadcast, Payload: textPayload("a2")}}
 		ns[1].sends = []Outgoing{{To: Broadcast, Payload: textPayload("b")}}
 		ns[2].sends = []Outgoing{{To: Broadcast, Payload: textPayload("c")}}
-		eng, err := NewEngine(Config{Topology: GraphTopology{G: g}, Model: LocalBroadcast, Parallel: true}, asNodes(ns))
+		eng, err := NewEngine(Config{Topology: GraphTopology{G: g}, Model: LocalBroadcast}, asNodes(ns))
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.parallelMin = 0 // step every round on the worker pool
 		eng.Run(2)
 		var keys []string
 		for _, d := range ns[3].received {

@@ -112,25 +112,6 @@ func WithObserver(o Observer) Option {
 	return func(s *eval.Spec) { s.Observer = o }
 }
 
-// WithSequential runs nodes sequentially within each round instead of
-// goroutine-per-node (useful for debugging and profiling).
-func WithSequential() Option {
-	return func(s *eval.Spec) { s.Sequential = true }
-}
-
-// WithWorkers shards a Batch across w parallel round loops: the instances
-// are partitioned into min(w, B) contiguous shards, each executed as its
-// own round loop on its own goroutine, all sharing one topology analysis
-// and compiled propagation plan — the multi-core path that lets batched
-// throughput scale with GOMAXPROCS. 0 and 1 keep the single shared loop.
-// Decisions are identical for every worker count; only wall-clock time
-// changes. Sharded batches reject WithObserver (events would interleave
-// across shards), and single Sessions — which have exactly one round loop
-// — ignore this option.
-func WithWorkers(w int) Option {
-	return func(s *eval.Spec) { s.Workers = w }
-}
-
 // NewSession validates the graph and options and returns a reusable
 // Session. Defaults are applied once, here: zero Algorithm means
 // Algorithm1, zero Model means LocalBroadcast. Invalid configurations

@@ -265,7 +265,6 @@ func TestSessionObserverEvents(t *testing.T) {
 		WithFaults(1),
 		WithInputs(inputMap(0, 1, 0, 1, 0)),
 		WithObserver(obs),
-		WithSequential(),
 	)
 	if err != nil {
 		t.Fatal(err)
